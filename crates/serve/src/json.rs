@@ -180,6 +180,7 @@ impl std::error::Error for JsonError {}
 /// Parses exactly one JSON value; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -193,6 +194,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -308,6 +311,16 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote, escape or
+            // control byte in one go. Those stoppers are ASCII, so the run
+            // ends on a char boundary of the (valid UTF-8) input.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
@@ -334,21 +347,7 @@ impl Parser<'_> {
                         }
                     }
                 }
-                _ if b < 0x20 => {
-                    return Err(self.err("raw control character in string"));
-                }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting here. The
-                    // input is a &str, so sequences are always valid.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let Some(chunk) = self.bytes.get(start..end) else {
-                        return Err(self.err("truncated UTF-8 sequence"));
-                    };
-                    out.push_str(std::str::from_utf8(chunk).expect("input is valid UTF-8"));
-                    self.pos = end;
-                }
+                _ => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -442,16 +441,6 @@ impl Parser<'_> {
     }
 }
 
-/// Length of the UTF-8 sequence starting with byte `b`.
-fn utf8_len(b: u8) -> usize {
-    match b {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,6 +480,50 @@ mod tests {
         );
         // Raw non-ASCII passes through.
         assert_eq!(parse("\"héllo 🚗\"").unwrap(), Json::Str("héllo 🚗".into()));
+    }
+
+    #[test]
+    fn plain_runs_between_escapes_copy_whole() {
+        for (text, want) in [
+            (r#""abc\ndef""#, "abc\ndef"),
+            (r#""\tabc\"""#, "\tabc\""),
+            (r#""\u0041BC\u00e9""#, "ABCé"),
+            (r#""a\\\\b""#, "a\\\\b"),
+            (r#""""#, ""),
+            (r#""\n\n""#, "\n\n"),
+            ("\"bit \\ud83d\\ude97s\"", "bit 🚗s"),
+        ] {
+            assert_eq!(parse(text).unwrap(), Json::Str(want.into()), "{text}");
+        }
+    }
+
+    #[test]
+    fn non_ascii_runs_pass_through() {
+        let text = "\"ünïcödé ✓ 車 😀\\n カタログ\"";
+        assert_eq!(
+            parse(text).unwrap(),
+            Json::Str("ünïcödé ✓ 車 😀\n カタログ".into())
+        );
+        // A long mixed run, as a `load` payload would carry.
+        let row = "0110é1\\n";
+        let body = row.repeat(1000);
+        let parsed = parse(&format!("\"{body}\"")).unwrap();
+        assert_eq!(parsed, Json::Str("0110é1\n".repeat(1000)));
+    }
+
+    #[test]
+    fn raw_control_byte_inside_a_run_is_rejected_at_its_offset() {
+        for (text, offset) in [
+            ("\"abc\u{1}def\"", 5),
+            ("\"é\u{1f}\"", 4),
+            ("\"ab\\ncd\te\"", 8),
+            ("[\"ok\",\"x\ny\"]", 9),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert_eq!(err.message, "raw control character in string", "{text:?}");
+            assert_eq!(err.offset, offset, "{text:?}");
+        }
+        assert_eq!(parse("\"abc").unwrap_err().offset, 4);
     }
 
     #[test]

@@ -288,10 +288,15 @@ fn reject_over_capacity(mut stream: TcpStream, write_timeout: Duration) {
     let _ = stream.write_all(error_frame(None, &err).as_bytes());
 }
 
+/// Bytes asked of each socket read. Before a read the buffer always has
+/// at least this much room behind the received bytes.
+const READ_CHUNK: usize = 64 << 10;
+
 /// What `poll_line` observed.
-enum ReadEvent {
-    /// A complete line (without the trailing newline).
-    Line(Vec<u8>),
+enum ReadEvent<'a> {
+    /// A complete line (without the trailing newline), borrowed from
+    /// the reader's buffer until the next poll.
+    Line(&'a [u8]),
     /// The read timed out — caller should check shutdown/idle clocks.
     Tick,
     /// Peer closed the connection.
@@ -301,9 +306,20 @@ enum ReadEvent {
 }
 
 /// Incremental newline-delimited framing over a read-timeout socket.
+///
+/// `buf[start..end]` holds the received bytes not yet handed out, and
+/// `buf[start..scanned]` is known to hold no `\n`, so each received byte
+/// is examined for a newline once. A line is lent out as a slice of
+/// `buf` and consumed by moving `start` past it. The pending partial
+/// line is moved to the front only when less than [`READ_CHUNK`] of room
+/// is left behind `end`; `buf` grows by zero-filling only new room, so
+/// reads land straight in it and no byte is zeroed twice.
 struct LineReader {
     stream: TcpStream,
     buf: Vec<u8>,
+    start: usize,
+    scanned: usize,
+    end: usize,
     max_line: usize,
 }
 
@@ -312,32 +328,72 @@ impl LineReader {
         Self {
             stream,
             buf: Vec::new(),
+            start: 0,
+            scanned: 0,
+            end: 0,
             max_line,
         }
     }
 
-    fn poll_line(&mut self) -> io::Result<ReadEvent> {
+    fn poll_line(&mut self) -> io::Result<ReadEvent<'_>> {
         loop {
-            if let Some(nl) = self.buf.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.buf.drain(..=nl).collect();
-                line.pop(); // the newline
-                if line.last() == Some(&b'\r') {
-                    line.pop(); // tolerate CRLF (telnet-style clients)
-                }
-                return Ok(ReadEvent::Line(line));
+            if let Some(line) = self.take_line() {
+                return Ok(ReadEvent::Line(&self.buf[line]));
             }
-            if self.buf.len() > self.max_line {
+            // The limit applies to the pending partial line only: a line
+            // whose newline has arrived is handed out whatever its length.
+            if self.end - self.start > self.max_line {
                 return Ok(ReadEvent::TooLong);
             }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
+            self.make_room();
+            match self.stream.read(&mut self.buf[self.end..]) {
                 Ok(0) => return Ok(ReadEvent::Eof),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.end += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(ReadEvent::Tick),
                 Err(e) if e.kind() == io::ErrorKind::TimedOut => return Ok(ReadEvent::Tick),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
+        }
+    }
+
+    /// Scans the bytes not scanned before for a newline. On a hit,
+    /// consumes the line and returns its range without the `\n` (or
+    /// `\r\n`, tolerated for telnet-style clients).
+    fn take_line(&mut self) -> Option<std::ops::Range<usize>> {
+        let fresh = &self.buf[self.scanned..self.end];
+        let hit = fresh.iter().position(|&b| b == b'\n');
+        counter!("serve.read_scanned_bytes").add(hit.map_or(fresh.len(), |i| i + 1) as u64);
+        let Some(i) = hit else {
+            self.scanned = self.end;
+            return None;
+        };
+        let nl = self.scanned + i;
+        let cr = nl > self.start && self.buf[nl - 1] == b'\r';
+        let line = self.start..nl - usize::from(cr);
+        self.start = nl + 1;
+        self.scanned = self.start;
+        if self.start == self.end {
+            // Nothing pending: the next read starts at the front, free.
+            (self.start, self.scanned, self.end) = (0, 0, 0);
+        }
+        Some(line)
+    }
+
+    /// Ensures [`READ_CHUNK`] bytes of room behind `end`: first by moving
+    /// the pending partial line to the front, then by growing `buf`.
+    fn make_room(&mut self) {
+        if self.buf.len() - self.end >= READ_CHUNK {
+            return;
+        }
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.scanned -= self.start;
+            self.start = 0;
+        }
+        if self.buf.len() - self.end < READ_CHUNK {
+            self.buf.resize(self.end + READ_CHUNK, 0);
         }
     }
 }
@@ -380,8 +436,7 @@ impl Connection<'_> {
                     idle = Duration::ZERO;
                     self.shared.requests.fetch_add(1, Ordering::Relaxed);
                     counter!("serve.frames_in").inc();
-                    match self.handle_line(&line, &mut writer, &mut hello_done, &mut seen_sessions)
-                    {
+                    match self.handle_line(line, &mut writer, &mut hello_done, &mut seen_sessions) {
                         Ok(Flow::Continue) => {}
                         Ok(Flow::Close) | Err(_) => break,
                     }
@@ -1052,4 +1107,152 @@ fn flight_frame(shared: &Shared, id: Option<&Json>, request: Option<u64>) -> Str
     }
     fields.push(("records", Json::Arr(rows)));
     reply_frame("flight_ok", id, fields)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::{Shutdown, TcpListener};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// The tests compare deltas of the process-global scan counter, so
+    /// they run one at a time.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        soc_obs::enable_all();
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn scanned() -> u64 {
+        counter!("serve.read_scanned_bytes").value()
+    }
+
+    /// A reader over one end of a loopback connection, and the other
+    /// end to write into.
+    fn pair(max_line: usize, read_timeout: Duration) -> (LineReader, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_read_timeout(Some(read_timeout)).unwrap();
+        (LineReader::new(server, max_line), client)
+    }
+
+    /// An owned [`ReadEvent`], so tests can compare and keep it.
+    #[derive(Debug, PartialEq)]
+    enum Got {
+        Line(Vec<u8>),
+        Tick,
+        Eof,
+        TooLong,
+    }
+
+    fn poll(reader: &mut LineReader) -> Got {
+        match reader.poll_line().unwrap() {
+            ReadEvent::Line(line) => Got::Line(line.to_vec()),
+            ReadEvent::Tick => Got::Tick,
+            ReadEvent::Eof => Got::Eof,
+            ReadEvent::TooLong => Got::TooLong,
+        }
+    }
+
+    fn line(text: &[u8]) -> Got {
+        Got::Line(text.to_vec())
+    }
+
+    #[test]
+    fn long_line_in_any_piece_size_is_scanned_once() {
+        let _serial = serial();
+        let body: Vec<u8> = (0..3_500_000u32)
+            .map(|i| b"01"[(i % 7 % 2) as usize])
+            .collect();
+        let mut wire = body.clone();
+        wire.extend_from_slice(b"\nnext\n");
+        for piece in [1, 4 << 10, 64 << 10] {
+            let (mut reader, mut client) = pair(4 << 20, Duration::from_secs(30));
+            let before = scanned();
+            let writer = std::thread::spawn({
+                let wire = wire.clone();
+                move || {
+                    for chunk in wire.chunks(piece) {
+                        client.write_all(chunk).unwrap();
+                    }
+                }
+            });
+            assert!(
+                poll(&mut reader) == Got::Line(body.clone()),
+                "piece {piece}"
+            );
+            assert_eq!(poll(&mut reader), line(b"next"), "piece {piece}");
+            writer.join().unwrap();
+            assert_eq!(poll(&mut reader), Got::Eof);
+            assert_eq!(scanned() - before, wire.len() as u64, "piece {piece}");
+            // One pending line plus at most two reads of room.
+            assert!(
+                reader.buf.len() <= body.len() + 2 * READ_CHUNK,
+                "piece {piece}"
+            );
+        }
+    }
+
+    #[test]
+    fn pipelined_frames_come_out_in_order() {
+        let _serial = serial();
+        let (mut reader, mut client) = pair(4 << 20, Duration::from_secs(30));
+        let frames: Vec<String> = (0..1000)
+            .map(|i| format!(r#"{{"type":"ping","id":{i}}}"#))
+            .collect();
+        let wire: String = frames.iter().map(|f| format!("{f}\n")).collect();
+        let before = scanned();
+        client.write_all(wire.as_bytes()).unwrap();
+        client.shutdown(Shutdown::Write).unwrap();
+        for frame in &frames {
+            assert_eq!(poll(&mut reader), line(frame.as_bytes()));
+        }
+        assert_eq!(poll(&mut reader), Got::Eof);
+        assert_eq!(scanned() - before, wire.len() as u64);
+    }
+
+    #[test]
+    fn crlf_is_stripped_and_a_lone_cr_kept() {
+        let _serial = serial();
+        let (mut reader, mut client) = pair(4 << 20, Duration::from_secs(30));
+        client.write_all(b"a\r\n\r\nx\ry\nsplit\r").unwrap();
+        assert_eq!(poll(&mut reader), line(b"a"));
+        assert_eq!(poll(&mut reader), line(b""));
+        assert_eq!(poll(&mut reader), line(b"x\ry"));
+        client.write_all(b"\n").unwrap();
+        assert_eq!(poll(&mut reader), line(b"split"));
+    }
+
+    #[test]
+    fn partial_line_then_eof_is_dropped() {
+        let _serial = serial();
+        let (mut reader, mut client) = pair(4 << 20, Duration::from_secs(30));
+        let wire = b"{\"type\":\"ping\"}\n{\"type\":\"pi";
+        let before = scanned();
+        client.write_all(wire).unwrap();
+        client.shutdown(Shutdown::Write).unwrap();
+        assert_eq!(poll(&mut reader), line(b"{\"type\":\"ping\"}"));
+        assert_eq!(poll(&mut reader), Got::Eof);
+        assert_eq!(scanned() - before, wire.len() as u64);
+    }
+
+    #[test]
+    fn line_limit_applies_to_the_pending_partial_line() {
+        let _serial = serial();
+        const MAX: usize = 64;
+        // Exactly the limit pending: the reader waits for more.
+        let (mut reader, mut client) = pair(MAX, Duration::from_millis(50));
+        client.write_all(&[b'x'; MAX]).unwrap();
+        assert_eq!(poll(&mut reader), Got::Tick);
+        client.write_all(b"\n").unwrap();
+        assert_eq!(poll(&mut reader), line(&[b'x'; MAX]));
+        // One byte over with no newline yet: the line is too long.
+        let (mut reader, mut client) = pair(MAX, Duration::from_millis(50));
+        client.write_all(&[b'x'; MAX + 1]).unwrap();
+        let got = std::iter::repeat_with(|| poll(&mut reader))
+            .find(|g| *g != Got::Tick)
+            .unwrap();
+        assert_eq!(got, Got::TooLong);
+    }
 }

@@ -87,36 +87,45 @@ impl SessionStore {
     /// Parses `data` and appends its rows to existing session `name`.
     /// The incoming rows must match the session's width; the session's
     /// schema wins (an `attrs` header in `data` only sets the width).
+    ///
+    /// The merged log is built outside the table lock, so copying a
+    /// large log stalls no other session's requests. It is installed
+    /// only if the session still holds the log it was merged onto;
+    /// otherwise a concurrent `load` or `ingest` won and the merge is
+    /// redone on the newer log, so no row is lost.
     pub fn ingest(&self, name: &str, data: &str) -> Result<SessionInfo, ProtoError> {
         let incoming = io::parse_query_log(data)
             .map_err(|e| ProtoError::new(ErrorCode::BadData, e.to_string()))?;
-        let mut map = self.map.lock().expect("session table poisoned");
-        let current = map.get(name).ok_or_else(|| {
-            ProtoError::new(ErrorCode::NoSuchSession, format!("no session {name:?}"))
-        })?;
-        if incoming.is_empty() {
-            return Ok(info(current));
+        loop {
+            let current = self.get(name)?;
+            if incoming.is_empty() {
+                return Ok(info(&current));
+            }
+            if incoming.num_attrs() != current.num_attrs() {
+                return Err(ProtoError::new(
+                    ErrorCode::BadData,
+                    format!(
+                        "ingest width {} does not match session width {}",
+                        incoming.num_attrs(),
+                        current.num_attrs()
+                    ),
+                ));
+            }
+            let mut queries = current.queries().to_vec();
+            let mut weights: Vec<usize> =
+                current.iter().map(|(id, _)| current.weight(id)).collect();
+            for (id, q) in incoming.iter() {
+                queries.push(q.clone());
+                weights.push(incoming.weight(id));
+            }
+            let merged = QueryLog::new_weighted(Arc::clone(current.schema()), queries, weights);
+            let summary = info(&merged);
+            let mut map = self.map.lock().expect("session table poisoned");
+            if let Some(slot) = map.get_mut(name).filter(|log| Arc::ptr_eq(log, &current)) {
+                *slot = Arc::new(merged);
+                return Ok(summary);
+            }
         }
-        if incoming.num_attrs() != current.num_attrs() {
-            return Err(ProtoError::new(
-                ErrorCode::BadData,
-                format!(
-                    "ingest width {} does not match session width {}",
-                    incoming.num_attrs(),
-                    current.num_attrs()
-                ),
-            ));
-        }
-        let mut queries = current.queries().to_vec();
-        let mut weights: Vec<usize> = current.iter().map(|(id, _)| current.weight(id)).collect();
-        for (id, q) in incoming.iter() {
-            queries.push(q.clone());
-            weights.push(incoming.weight(id));
-        }
-        let merged = QueryLog::new_weighted(Arc::clone(current.schema()), queries, weights);
-        let summary = info(&merged);
-        map.insert(name.to_string(), Arc::new(merged));
-        Ok(summary)
     }
 }
 
@@ -191,5 +200,25 @@ mod tests {
         // Replacing an existing session is always allowed.
         store.load("a", "11\n").unwrap();
         assert_eq!(store.len(), 2);
+    }
+
+    #[test]
+    fn concurrent_ingests_lose_no_rows() {
+        const ROUNDS: usize = 200;
+        let store = SessionStore::new(4);
+        store.load("t1", "1100\n").unwrap();
+        std::thread::scope(|scope| {
+            for rows in ["0011\n", "2x 1010\n"] {
+                let store = &store;
+                scope.spawn(move || {
+                    for _ in 0..ROUNDS {
+                        store.ingest("t1", rows).unwrap();
+                    }
+                });
+            }
+        });
+        let log = store.get("t1").unwrap();
+        assert_eq!(log.len(), 1 + 2 * ROUNDS);
+        assert_eq!(log.total_weight(), 1 + 3 * ROUNDS);
     }
 }

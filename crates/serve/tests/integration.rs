@@ -281,6 +281,56 @@ fn oversized_line_gets_typed_error_then_close() {
     server.stop();
 }
 
+/// The server's `serve.read_scanned_bytes` counter, read from `stats`.
+fn scanned_bytes(c: &mut Client) -> u64 {
+    let stats = c.roundtrip(r#"{"type":"stats"}"#, "stats_ok");
+    stats
+        .get("metrics")
+        .and_then(|m| m.get("serve.read_scanned_bytes"))
+        .and_then(Json::as_u64)
+        .expect("serve.read_scanned_bytes counter present")
+}
+
+#[test]
+fn multi_megabyte_load_is_scanned_in_linear_work() {
+    let _serial = serial();
+    let server = TestServer::start(ServerConfig::default());
+    let mut c = server.connect();
+    c.hello();
+    // 100k pseudo-random 32-attribute rows: a 3.4 MB `load` line that
+    // arrives over many socket reads.
+    const ROWS: usize = 100_000;
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut data = String::with_capacity(ROWS * 34);
+    for _ in 0..ROWS {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let bits = (state >> 32) as u32;
+        data.extend((0..32).map(|j| if bits >> j & 1 == 1 { '1' } else { '0' }));
+        data.push_str("\\n");
+    }
+    let load = format!(r#"{{"type":"load","session":"big","data":"{data}"}}"#);
+    assert!(load.len() >= 3 << 20, "load line is {} bytes", load.len());
+
+    let before = scanned_bytes(&mut c);
+    let reply = c.roundtrip(&load, "load_ok");
+    assert_eq!(
+        reply.get("total_weight").and_then(Json::as_u64),
+        Some(ROWS as u64)
+    );
+    let delta = scanned_bytes(&mut c) - before;
+    // Each byte is examined for a newline once: the load line, plus the
+    // short stats line that reads the counter back.
+    let line = load.len() as u64 + 1;
+    assert!(
+        (line..=2 * line).contains(&delta),
+        "scanned {delta} bytes for a {line}-byte line"
+    );
+    drop(c);
+    server.stop();
+}
+
 #[test]
 fn pipelined_requests_answer_in_order_with_ids() {
     let _serial = serial();
