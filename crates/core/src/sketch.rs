@@ -9,6 +9,14 @@
 //! 1. **Project** the instance onto the tuple's universe
 //!    ([`SocInstance::reduced`]) — the refine pass composes with the
 //!    existing `project_onto` machinery rather than reinventing it.
+//!    **Then search exactly**: a branch-and-bound over the projected
+//!    log (§IV.B's search with a fractional charging bound in place of
+//!    the LP relaxation) runs under a fixed work budget. When it
+//!    finishes, its answer is the optimum with a closed bracket and the
+//!    phases below are skipped; they run only when the budget fires
+//!    ([`SketchSolver::sketch_and_refine`] runs them alone). This is the
+//!    certify-then-stop split of the same paper: solve exactly while
+//!    that is cheap, and sketch only what is not.
 //! 2. **Cluster** the compact log's queries into `k` groups of similar
 //!    attribute sets ([`soc_data::cluster_log`], deterministic
 //!    k-centers seeded from `soc-rng`).
@@ -60,7 +68,7 @@
 use soc_data::{cluster_log, AttrSet, ClusterConfig, ClusterDistance, Query, QueryLog, Tuple};
 use soc_obs::{counter, gauge, histogram};
 
-use crate::{MfiSolver, SocAlgorithm, SocInstance, Solution};
+use crate::{MfiSolver, ReducedInstance, SocAlgorithm, SocInstance, Solution};
 
 /// Default cluster count for a log of `len` queries: `8·√len`, clamped
 /// to `[16, 8192]` (and never above `len`). Grows slowly enough that
@@ -168,25 +176,95 @@ impl<A: SocAlgorithm> SketchSolver<A> {
         }
     }
 
-    /// Solves the instance and returns the full bracketed outcome.
+    /// Solves the instance and returns the full bracketed outcome: the
+    /// proven optimum with a closed bracket when the exact search
+    /// finishes within [`SEARCH_BUDGET`], otherwise the better of the
+    /// search's incumbent and [`SketchSolver::sketch_and_refine`]'s
+    /// answer, bracketed by the tighter of their upper bounds.
     ///
     /// # Panics
     /// Panics if `clusters == 0`; the CLI and serve layers reject such
     /// requests with typed errors before reaching this point.
     pub fn solve_bracketed(&self, instance: &SocInstance<'_>) -> SketchOutcome {
+        self.solve_within(instance, SEARCH_BUDGET)
+    }
+
+    /// [`SketchSolver::solve_bracketed`] under a search budget of
+    /// `budget` row visits.
+    fn solve_within(&self, instance: &SocInstance<'_>, budget: u64) -> SketchOutcome {
         assert!(self.clusters > 0, "cluster count must be at least 1");
         counter!("sketch.solves").inc();
         let _span = soc_obs::span("sketch_solve");
 
         // Phase 1: project onto the tuple's universe.
         let reduced = instance.reduced();
+        let width = reduced.log().num_attrs();
+        if width > MAX_SEARCH_WIDTH {
+            return self.sketch_reduced(instance, &reduced);
+        }
+        let found = {
+            let _span = soc_obs::span("sketch_search");
+            search(
+                reduced.log(),
+                reduced.instance().effective_m(),
+                budget,
+                |_, _| {},
+            )
+        };
+        counter!("sketch.search_nodes").add(found.nodes);
+        counter!("sketch.search_visits").add(found.visits);
+        counter!("sketch.search_cut").add(u64::from(found.open_bound.is_some()));
+        let retained = || {
+            reduced
+                .mapping()
+                .to_original(&mask_to_set(found.best, width))
+        };
+        let Some(open_bound) = found.open_bound else {
+            record_gap(found.value, found.value);
+            return SketchOutcome {
+                solution: instance.solution_with_known_objective(retained(), found.value),
+                lower: found.value,
+                upper: found.value,
+                clusters: 0,
+                refine_queries: 0,
+            };
+        };
+
+        // The budget fired: sketch, keep the better feasible answer, and
+        // bracket with the tighter of the two sound upper bounds.
+        let mut out = self.sketch_reduced(instance, &reduced);
+        if found.value > out.lower {
+            out.solution = instance.solution_with_known_objective(retained(), found.value);
+            out.lower = found.value;
+        }
+        out.upper = out.upper.min(open_bound).max(out.lower);
+        record_gap(out.lower, out.upper);
+        out
+    }
+
+    /// Sketch-and-refine alone, without the exact search: phases 2–6 of
+    /// the module docs on the projected instance.
+    ///
+    /// # Panics
+    /// Panics if `clusters == 0`.
+    pub fn sketch_and_refine(&self, instance: &SocInstance<'_>) -> SketchOutcome {
+        assert!(self.clusters > 0, "cluster count must be at least 1");
+        self.sketch_reduced(instance, &instance.reduced())
+    }
+
+    /// Phases 2–6 on `reduced`, the projection of `instance`.
+    fn sketch_reduced(
+        &self,
+        instance: &SocInstance<'_>,
+        reduced: &ReducedInstance,
+    ) -> SketchOutcome {
         let rlog = reduced.log();
         let compact = reduced.instance();
         if rlog.is_empty() {
             // No query a compression could ever satisfy: the empty
             // retained set is optimal and the bracket is [0, 0].
             let retained = AttrSet::empty(instance.log.num_attrs());
-            gauge!("sketch.gap_permille").set(0);
+            record_gap(0, 0);
             return SketchOutcome {
                 solution: instance.solution_with_known_objective(retained, 0),
                 lower: 0,
@@ -379,9 +457,7 @@ impl<A: SocAlgorithm> SketchSolver<A> {
         // defends against an inner solver that overclaims exactness.
         debug_assert!(upper >= best_val, "bound bracket inverted");
         let upper = upper.max(best_val);
-        // A zero upper bound means a zero-width bracket: gap 0.
-        let gap_permille = ((upper - best_val) * 1000).checked_div(upper).unwrap_or(0) as i64;
-        gauge!("sketch.gap_permille").set(gap_permille);
+        record_gap(best_val, upper);
 
         // Map back to the original universe; the compact objective
         // equals the original objective by projection equivalence.
@@ -396,13 +472,196 @@ impl<A: SocAlgorithm> SketchSolver<A> {
     }
 }
 
+/// Publishes a bracket's gap in permille; a zero upper bound means a
+/// zero-width bracket, gap 0.
+fn record_gap(lower: usize, upper: usize) {
+    let permille = ((upper - lower) * 1000).checked_div(upper).unwrap_or(0);
+    gauge!("sketch.gap_permille").set(permille as i64);
+}
+
+/// Work budget of the exact-first search, in row visits: the live rows
+/// summed over expanded nodes. Deterministic by construction, unlike a
+/// wall-clock limit, so repeated solves and a traced replay of a served
+/// solve return identical answers.
+const SEARCH_BUDGET: u64 = 1 << 20;
+
+/// Widest compact universe the search handles: one `u128` mask per row.
+const MAX_SEARCH_WIDTH: usize = 128;
+
+/// Relative slack on a fractional bound before it is rounded down to
+/// the largest objective it admits. Float sums of the charges can land
+/// a few ulps below the real bound; the slack keeps pruning sound.
+const BOUND_SLACK: f64 = 1e-6;
+
+/// The largest integer objective a fractional node bound admits.
+fn admitted(bound: f64) -> usize {
+    (bound * (1.0 + BOUND_SLACK)).floor() as usize
+}
+
+/// A search node: the retained attributes chosen so far, the ones ruled
+/// out, and the rows still in play.
+struct Node {
+    chosen: u128,
+    excluded: u128,
+    /// Weight of the rows `chosen` already satisfies.
+    satisfied: usize,
+    /// Live rows, as indices: neither satisfied, nor hit by `excluded`,
+    /// nor needing more attributes than the budget has room for.
+    live: Vec<u32>,
+    /// Upper bound on every completion below this node (the parent's).
+    bound: usize,
+}
+
+/// What [`search`] found.
+struct Found {
+    /// Best retained set, as a mask over the compact universe.
+    best: u128,
+    /// Its objective.
+    value: usize,
+    /// `None` when the search finished, so `value` is optimal; else the
+    /// largest bound of a node left open when the budget fired.
+    open_bound: Option<usize>,
+    nodes: u64,
+    visits: u64,
+}
+
+/// Exact depth-first branch-and-bound for retaining at most `m` of the
+/// compact log's attributes (§IV.B's search, with a charging bound in
+/// place of the LP relaxation). Every live row `q` hands
+/// `w_q / |q \ chosen|` to each of its undecided attributes; a node's
+/// bound is its satisfied weight plus its top `m − k` charges (DESIGN.md
+/// proves it sound). The search branches include-first on the attribute
+/// with the largest charge and stops once `budget` row visits are spent.
+/// `on_expand` sees each expanded node with its own bound.
+fn search(log: &QueryLog, m: usize, budget: u64, mut on_expand: impl FnMut(&Node, f64)) -> Found {
+    let width = log.num_attrs();
+    assert!(width <= MAX_SEARCH_WIDTH, "search needs a u128 per row");
+    let mut base = 0usize;
+    let mut rows: Vec<(u128, usize)> = Vec::new();
+    for (id, q) in log.iter() {
+        let len = q.attrs().count();
+        if len == 0 {
+            base += log.weight(id);
+        } else if len <= m {
+            let mask = q.attrs().iter().fold(0u128, |acc, a| acc | 1 << a);
+            rows.push((mask, log.weight(id)));
+        }
+    }
+
+    let mut found = Found {
+        best: 0,
+        value: base,
+        open_bound: None,
+        nodes: 0,
+        visits: 0,
+    };
+    let mut stack = vec![Node {
+        chosen: 0,
+        excluded: 0,
+        satisfied: base,
+        live: (0..rows.len() as u32).collect(),
+        bound: usize::MAX,
+    }];
+    let mut charge = vec![0f64; width];
+    let mut ranked = Vec::with_capacity(width);
+    while let Some(node) = stack.pop() {
+        if node.bound <= found.value || node.live.is_empty() {
+            continue;
+        }
+        if found.visits >= budget {
+            // Pending nodes that could still beat the incumbent bound
+            // every answer not yet explored; this node is one of them.
+            let open = stack
+                .iter()
+                .filter(|n| n.bound > found.value && !n.live.is_empty());
+            found.open_bound = open.map(|n| n.bound).max().max(Some(node.bound));
+            break;
+        }
+        found.nodes += 1;
+        found.visits += node.live.len() as u64;
+
+        charge.fill(0.0);
+        for &r in &node.live {
+            let (q, w) = rows[r as usize];
+            let open = q & !node.chosen;
+            let share = w as f64 / open.count_ones() as f64;
+            for_each_bit(open, |a| charge[a] += share);
+        }
+        ranked.clear();
+        ranked.extend(charge.iter().copied().filter(|&c| c > 0.0));
+        ranked.sort_unstable_by(|a, b| b.total_cmp(a));
+        let room = m - node.chosen.count_ones() as usize;
+        let fractional = node.satisfied as f64 + ranked.iter().take(room).sum::<f64>();
+        on_expand(&node, fractional);
+        let bound = admitted(fractional);
+        if bound <= found.value {
+            continue;
+        }
+
+        // Branch on the largest charge, lowest attribute on ties.
+        let pick = (0..width)
+            .max_by(|&a, &b| charge[a].total_cmp(&charge[b]).then(b.cmp(&a)))
+            .expect("live rows charge some attribute");
+        let bit = 1u128 << pick;
+        let mut with = Node {
+            chosen: node.chosen | bit,
+            excluded: node.excluded,
+            satisfied: node.satisfied,
+            live: Vec::with_capacity(node.live.len()),
+            bound,
+        };
+        for &r in &node.live {
+            let (q, w) = rows[r as usize];
+            let open = (q & !with.chosen).count_ones() as usize;
+            if open == 0 {
+                with.satisfied += w;
+            } else if open < room {
+                with.live.push(r);
+            }
+        }
+        let without = Node {
+            chosen: node.chosen,
+            excluded: node.excluded | bit,
+            satisfied: node.satisfied,
+            live: node
+                .live
+                .into_iter()
+                .filter(|&r| rows[r as usize].0 & bit == 0)
+                .collect(),
+            bound,
+        };
+        if with.satisfied > found.value {
+            found.value = with.satisfied;
+            found.best = with.chosen;
+        }
+        stack.push(without);
+        stack.push(with);
+    }
+    found
+}
+
+/// Calls `f` with the index of every set bit of `mask`, lowest first.
+fn for_each_bit(mut mask: u128, mut f: impl FnMut(usize)) {
+    while mask != 0 {
+        f(mask.trailing_zeros() as usize);
+        mask &= mask - 1;
+    }
+}
+
+/// A compact-universe mask as an [`AttrSet`].
+fn mask_to_set(mask: u128, universe: usize) -> AttrSet {
+    let mut set = AttrSet::empty(universe);
+    for_each_bit(mask, |a| set.insert(a));
+    set
+}
+
 impl<A: SocAlgorithm> SocAlgorithm for SketchSolver<A> {
     fn name(&self) -> &'static str {
         "SketchRefine"
     }
 
     fn is_exact(&self) -> bool {
-        // Exact in the degenerate clusters ≥ #queries regime, but that
+        // Exact whenever the search finishes within its budget, but that
         // depends on the instance; conservatively heuristic.
         false
     }
@@ -472,6 +731,117 @@ mod tests {
         let (log, t) = fig1();
         let inst = SocInstance::new(&log, &t, 2);
         let _ = SketchSolver::with_inner(0, BruteForce).solve_bracketed(&inst);
+    }
+
+    /// A random weighted compact log over `width` attributes: rows of
+    /// 0..=4 attributes (one may be empty), duplicates merged.
+    fn random_log(rng: &mut soc_rng::StdRng, width: usize, rows: usize) -> QueryLog {
+        let sets = (0..rows)
+            .map(|_| {
+                let len = rng.random_range(0..=4usize);
+                AttrSet::from_indices(width, (0..len).map(|_| rng.random_range(0..width)))
+            })
+            .collect();
+        QueryLog::from_attr_sets(width, sets).deduplicate()
+    }
+
+    /// The mask-form objective of retaining `set`.
+    fn objective(log: &QueryLog, set: u128) -> usize {
+        log.iter()
+            .filter(|(_, q)| q.attrs().iter().all(|a| set >> a & 1 == 1))
+            .map(|(id, _)| log.weight(id))
+            .sum()
+    }
+
+    #[test]
+    fn every_node_bound_dominates_its_subtree() {
+        let mut rng = soc_rng::StdRng::seed_from_u64(7);
+        for case in 0..60 {
+            let width = rng.random_range(1..=9usize);
+            let log = random_log(&mut rng, width, 18);
+            let scores: Vec<(u128, usize)> = (0..1u128 << width)
+                .map(|s| (s, objective(&log, s)))
+                .collect();
+            for m in 0..=width {
+                let mut nodes = Vec::new();
+                let found = search(&log, m, u64::MAX, |n, bound| {
+                    nodes.push((n.chosen, n.excluded, bound));
+                });
+                let opt = scores
+                    .iter()
+                    .filter(|(s, _)| s.count_ones() as usize <= m)
+                    .map(|&(_, v)| v)
+                    .max()
+                    .unwrap();
+                assert_eq!(
+                    (found.value, found.open_bound),
+                    (opt, None),
+                    "case {case} m {m}"
+                );
+                assert_eq!(objective(&log, found.best), opt);
+                assert!(found.best.count_ones() as usize <= m);
+                for (chosen, excluded, bound) in nodes {
+                    let below = scores
+                        .iter()
+                        .filter(|(s, _)| s & chosen == chosen && s & excluded == 0)
+                        .filter(|(s, _)| s.count_ones() as usize <= m)
+                        .map(|&(_, v)| v)
+                        .max()
+                        .unwrap();
+                    assert!(
+                        bound + 1e-9 >= below as f64,
+                        "case {case} m {m}: bound {bound} < subtree optimum {below}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cut_search_still_brackets_the_optimum() {
+        let mut rng = soc_rng::StdRng::seed_from_u64(11);
+        let mut cut = 0;
+        for case in 0..40 {
+            let log = random_log(&mut rng, 10, 40);
+            let t = Tuple::new(AttrSet::full(10));
+            for m in [1, 3, 5] {
+                let inst = SocInstance::new(&log, &t, m);
+                let exact = BruteForce.solve(&inst).satisfied;
+                for budget in [0, 1, 20, 60] {
+                    let found = search(&log, m, budget, |_, _| {});
+                    if let Some(open) = found.open_bound {
+                        cut += 1;
+                        assert!(found.value <= exact && exact <= open, "case {case} m {m}");
+                    }
+                    for k in [2, 5] {
+                        let out =
+                            SketchSolver::with_inner(k, BruteForce).solve_within(&inst, budget);
+                        assert!(out.lower <= exact, "case {case} m {m} budget {budget}");
+                        assert!(out.upper >= exact, "case {case} m {m} budget {budget}");
+                        assert_eq!(out.solution.satisfied, out.lower);
+                        assert_eq!(inst.objective(&out.solution.retained), out.lower);
+                    }
+                }
+            }
+        }
+        assert!(cut > 100, "only {cut} searches were cut");
+    }
+
+    #[test]
+    fn repeated_solves_are_identical() {
+        let mut rng = soc_rng::StdRng::seed_from_u64(3);
+        for _ in 0..10 {
+            let log = random_log(&mut rng, 12, 60);
+            let t = Tuple::new(AttrSet::full(12));
+            let inst = SocInstance::new(&log, &t, 4);
+            for budget in [5, SEARCH_BUDGET] {
+                let solver = SketchSolver::new(6);
+                let a = solver.solve_within(&inst, budget);
+                let b = solver.solve_within(&inst, budget);
+                assert_eq!(a.solution, b.solution, "budget {budget}");
+                assert_eq!((a.lower, a.upper), (b.lower, b.upper), "budget {budget}");
+            }
+        }
     }
 
     #[test]

@@ -40,6 +40,18 @@ impl Json {
         }
     }
 
+    /// Moves an object field's value out (first match), leaving `null`
+    /// in its place; `None` on non-objects or a missing key.
+    pub fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(fields) => fields
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| std::mem::replace(v, Json::Null)),
+            _ => None,
+        }
+    }
+
     /// The string payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -298,11 +298,12 @@ pub fn parse_frame(line: &str) -> Frame {
     };
     Frame {
         id,
-        body: parse_body(&value),
+        body: parse_body(value),
     }
 }
 
-fn parse_body(value: &Json) -> Result<Request, ProtoError> {
+fn parse_body(mut value: Json) -> Result<Request, ProtoError> {
+    let value = &mut value;
     let ty = req_str(value, "type")?;
     match ty {
         "hello" => Ok(Request::Hello {
@@ -310,11 +311,11 @@ fn parse_body(value: &Json) -> Result<Request, ProtoError> {
         }),
         "load" => Ok(Request::Load {
             session: req_session(value)?,
-            data: req_str(value, "data")?.to_string(),
+            data: take_str(value, "data")?,
         }),
         "ingest" => Ok(Request::Ingest {
             session: req_session(value)?,
-            data: req_str(value, "data")?.to_string(),
+            data: take_str(value, "data")?,
         }),
         "solve" => Ok(Request::Solve {
             params: solve_params(value)?,
@@ -441,6 +442,21 @@ fn req_str<'a>(value: &'a Json, field: &str) -> Result<&'a str, ProtoError> {
         .ok_or_else(|| ProtoError::new(ErrorCode::BadField, format!("{field} must be a string")))
 }
 
+/// [`req_str`], moving the string out of `value` instead of copying
+/// it: a `load` frame's data is the bulk of the frame. The parser grew
+/// the string by doubling, so its unused tail goes back to the
+/// allocator before the log is built beside it.
+fn take_str(value: &mut Json, field: &str) -> Result<String, ProtoError> {
+    req_str(value, field)?;
+    match value.take(field) {
+        Some(Json::Str(mut s)) => {
+            s.shrink_to_fit();
+            Ok(s)
+        }
+        _ => unreachable!("req_str checked {field}"),
+    }
+}
+
 fn opt_u64(value: &Json, field: &str) -> Result<Option<u64>, ProtoError> {
     match value.get(field) {
         None => Ok(None),
@@ -498,6 +514,31 @@ pub fn reply_frame(ty: &str, id: Option<&Json>, fields: Vec<(&'static str, Json)
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn load_and_ingest_data_arrive_byte_identical() {
+        let mut data = String::from("attrs = a, b, \"c\"\n\t\r\u{1}é✓\u{1F600}\\\n");
+        for i in 0..20_000 {
+            data.push_str(["110\n", "011\n", "\n"][i % 3]);
+        }
+        for ty in ["load", "ingest"] {
+            let line = json::obj([
+                ("type", json::s(ty)),
+                ("session", json::s("t1")),
+                ("data", json::s(&data)),
+            ])
+            .render();
+            match parse_frame(&line).body.unwrap() {
+                Request::Load { data: got, .. } | Request::Ingest { data: got, .. } => {
+                    assert!(got == data, "{ty} data changed in transit");
+                }
+                other => panic!("{ty} parsed as {other:?}"),
+            }
+        }
+        // A later duplicate key does not shadow the first, as for `get`.
+        let f = parse_frame(r#"{"type":"load","session":"t1","data":"1\n","data":"0\n"}"#);
+        assert!(matches!(f.body.unwrap(), Request::Load { data, .. } if data == "1\n"));
+    }
 
     #[test]
     fn parses_the_full_request_surface() {

@@ -292,6 +292,11 @@ fn reject_over_capacity(mut stream: TcpStream, write_timeout: Duration) {
 /// at least this much room behind the received bytes.
 const READ_CHUNK: usize = 64 << 10;
 
+/// Buffer capacity above which an idle reader (no partial line pending)
+/// shrinks back to one read's room, so one large `load` does not pin
+/// megabytes to its connection for the connection's whole life.
+const SHRINK_ABOVE: usize = 4 * READ_CHUNK;
+
 /// What `poll_line` observed.
 enum ReadEvent<'a> {
     /// A complete line (without the trailing newline), borrowed from
@@ -382,7 +387,14 @@ impl LineReader {
 
     /// Ensures [`READ_CHUNK`] bytes of room behind `end`: first by moving
     /// the pending partial line to the front, then by growing `buf`.
+    /// With nothing pending, a buffer grown past [`SHRINK_ABOVE`] is
+    /// shrunk back to one read's room first.
     fn make_room(&mut self) {
+        if self.start == self.end && self.buf.capacity() > SHRINK_ABOVE {
+            (self.start, self.scanned, self.end) = (0, 0, 0);
+            self.buf.truncate(READ_CHUNK);
+            self.buf.shrink_to(READ_CHUNK);
+        }
         if self.buf.len() - self.end >= READ_CHUNK {
             return;
         }
@@ -1192,6 +1204,28 @@ mod tests {
                 "piece {piece}"
             );
         }
+    }
+
+    #[test]
+    fn buffer_shrinks_once_a_long_line_is_consumed() {
+        let _serial = serial();
+        let (mut reader, mut client) = pair(4 << 20, Duration::from_secs(30));
+        let mut wire = vec![b'1'; 3_500_000];
+        wire.push(b'\n');
+        let writer = std::thread::spawn(move || {
+            client.write_all(&wire).unwrap();
+            client
+        });
+        assert!(matches!(poll(&mut reader), Got::Line(l) if l.len() == 3_500_000));
+        let mut client = writer.join().unwrap();
+        assert!(reader.buf.capacity() > SHRINK_ABOVE);
+        client.write_all(b"next\n").unwrap();
+        assert_eq!(poll(&mut reader), line(b"next"));
+        assert!(
+            reader.buf.capacity() <= SHRINK_ABOVE,
+            "capacity {} after a short line",
+            reader.buf.capacity()
+        );
     }
 
     #[test]

@@ -18,6 +18,9 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> socbench tests (its own workspace: --smoke over all four workloads, traced replay must match every served answer)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> index differential suite (release: hybrid kernels bit-identical to scans)"
 cargo test -q --release --offline -p soc-data --test index_diff
 
